@@ -18,7 +18,8 @@
 #ifndef PERMUQ_CIRCUIT_QASM_H
 #define PERMUQ_CIRCUIT_QASM_H
 
-#include <iosfwd>
+#include <cstddef>
+#include <ios>
 #include <string>
 
 #include "circuit/circuit.h"
@@ -45,7 +46,14 @@ std::string to_qasm(const Circuit& circ, const QasmOptions& options = {});
  * Incremental OpenQASM 2.0 emission: the program is written to an
  * ostream in chunks as parts of the compilation complete, so a
  * fabric-scale (100k-qubit) compile never materializes the whole
- * program text — or even the whole circuit — in memory.
+ * program text — or even the whole circuit — in memory. Text is
+ * lowered into a fixed-size buffer (64 KiB) that is written to
+ * the stream whenever it fills, so memory stays bounded within a chunk
+ * too.
+ *
+ * The stream's format state at construction (precision, flags, locale)
+ * governs the rz/rx angle text, exactly as if the angles were inserted
+ * with operator<<; qubit ids are always plain decimal.
  *
  * Protocol: begin(global initial mapping), then chunk() once per
  * circuit fragment in program order, then finish(global final
@@ -77,8 +85,28 @@ class QasmStreamWriter
     const QasmOptions& options() const { return options_; }
 
   private:
+    /** Buffered bytes that trigger a write to the stream. */
+    static constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+    friend std::string to_qasm(const Circuit&, const QasmOptions&);
+
+    /** @p out null: lower into buffer_ and never flush (to_qasm). */
+    QasmStreamWriter(std::ostream* out, const std::ios& format,
+                     const QasmOptions& options);
+
+    /** Append op_scratch_ up to @p end; write the buffer to the
+     *  stream once it holds kFlushBytes. */
+    void emit(const char* end);
+
     std::ostream* out_;
     QasmOptions options_;
+    /** "rz(<2 gamma>) q[" and "rx(<2 beta>) q[", formatted once. */
+    std::string rz_prefix_;
+    std::string rx_prefix_;
+    /** Lowered text not yet written to out_ (all of it for to_qasm). */
+    std::string buffer_;
+    /** Room for the lines one op lowers to. */
+    std::string op_scratch_;
     bool begun_ = false;
     bool finished_ = false;
 };

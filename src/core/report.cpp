@@ -7,30 +7,11 @@
 #include <cstdio>
 
 #include "circuit/circuit.h"
+#include "common/json.h"
 
 namespace permuq::core {
 
 namespace {
-
-void
-json_string_into(std::string& out, const std::string& s)
-{
-    out += '"';
-    for (char ch : s) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += static_cast<char>(c);
-        } else if (c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out += static_cast<char>(c);
-        }
-    }
-    out += '"';
-}
 
 void
 field(std::string& out, const char* key, std::int64_t v)
@@ -54,8 +35,9 @@ field(std::string& out, const char* key, const std::string& v)
 {
     out += '"';
     out += key;
-    out += "\": ";
-    json_string_into(out, v);
+    out += "\": \"";
+    json_escape_into(out, v);
+    out += '"';
 }
 
 } // namespace

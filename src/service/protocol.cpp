@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string_view>
+#include <utility>
 
 namespace permuq::service {
 
@@ -55,6 +57,12 @@ Json::find(const std::string& key) const
         if (k == key)
             return &v;
     return nullptr;
+}
+
+Json*
+Json::find(const std::string& key)
+{
+    return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 /** Strict recursive-descent parser over a bounded depth. */
@@ -239,9 +247,18 @@ class JsonParser
     {
         ++pos_; // opening quote (caller checked)
         out.clear();
-        while (pos_ < text_.size()) {
-            const unsigned char c =
-                static_cast<unsigned char>(text_[pos_]);
+        const char* const begin = text_.data();
+        const char* const end = begin + text_.size();
+        for (;;) {
+            // Copy the run of plain bytes up to the next quote,
+            // backslash or control byte in one go.
+            const char* const run = begin + pos_;
+            const char* const stop = json_plain_run_end(run, end);
+            out.append(run, stop);
+            pos_ = static_cast<std::size_t>(stop - begin);
+            if (stop == end)
+                break;
+            const unsigned char c = static_cast<unsigned char>(*stop);
             if (c == '"') {
                 ++pos_;
                 return true;
@@ -250,74 +267,47 @@ class JsonParser
                 fail("unescaped control character in string");
                 return false;
             }
-            if (c != '\\') {
-                out.push_back(static_cast<char>(c));
-                ++pos_;
-                continue;
-            }
             ++pos_;
             if (pos_ >= text_.size()) {
                 fail("dangling escape");
                 return false;
             }
+            // Short escapes decode through one table; \u is the rest.
+            static constexpr std::string_view kShort = "\"\\/bfnrt";
+            static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
             const char e = text_[pos_++];
-            switch (e) {
-            case '"':
-                out.push_back('"');
-                break;
-            case '\\':
-                out.push_back('\\');
-                break;
-            case '/':
-                out.push_back('/');
-                break;
-            case 'b':
-                out.push_back('\b');
-                break;
-            case 'f':
-                out.push_back('\f');
-                break;
-            case 'n':
-                out.push_back('\n');
-                break;
-            case 'r':
-                out.push_back('\r');
-                break;
-            case 't':
-                out.push_back('\t');
-                break;
-            case 'u': {
-                std::uint32_t code = 0;
-                if (!parse_hex4(code))
-                    return false;
-                // Surrogate pair?
-                if (code >= 0xD800 && code <= 0xDBFF) {
-                    if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                        text_[pos_ + 1] != 'u') {
-                        fail("lone high surrogate");
-                        return false;
-                    }
-                    pos_ += 2;
-                    std::uint32_t low = 0;
-                    if (!parse_hex4(low))
-                        return false;
-                    if (low < 0xDC00 || low > 0xDFFF) {
-                        fail("bad low surrogate");
-                        return false;
-                    }
-                    code = 0x10000 + ((code - 0xD800) << 10) +
-                           (low - 0xDC00);
-                } else if (code >= 0xDC00 && code <= 0xDFFF) {
-                    fail("lone low surrogate");
-                    return false;
-                }
-                append_utf8(out, code);
-                break;
+            if (const auto k = kShort.find(e); k != kShort.npos) {
+                out.push_back(kDecoded[k]);
+                continue;
             }
-            default:
+            if (e != 'u') {
                 fail("bad escape");
                 return false;
             }
+            std::uint32_t code = 0;
+            if (!parse_hex4(code))
+                return false;
+            // Surrogate pair?
+            if (code >= 0xD800 && code <= 0xDBFF) {
+                if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+                    text_[pos_ + 1] != 'u') {
+                    fail("lone high surrogate");
+                    return false;
+                }
+                pos_ += 2;
+                std::uint32_t low = 0;
+                if (!parse_hex4(low))
+                    return false;
+                if (low < 0xDC00 || low > 0xDFFF) {
+                    fail("bad low surrogate");
+                    return false;
+                }
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            } else if (code >= 0xDC00 && code <= 0xDFFF) {
+                fail("lone low surrogate");
+                return false;
+            }
+            append_utf8(out, code);
         }
         fail("unterminated string");
         return false;
@@ -439,42 +429,6 @@ Json::parse(const std::string& text, std::string* error)
     if (error)
         error->clear();
     return JsonParser(text, error).run();
-}
-
-std::string
-json_escape(const std::string& raw)
-{
-    std::string out;
-    out.reserve(raw.size() + raw.size() / 16);
-    for (const char ch : raw) {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(ch);
-            }
-        }
-    }
-    return out;
 }
 
 // ------------------------------------------------------------ framing
@@ -862,14 +816,18 @@ std::string
 build_plan_fragment(const PlanSummary& summary, const std::string& qasm,
                     const std::string& report_json)
 {
-    std::string fragment = "\"tier\":\"" + json_escape(summary.tier) +
-                           "\",\"selected\":\"" +
-                           json_escape(summary.selected) +
-                           "\",\"depth\":" + std::to_string(summary.depth) +
-                           ",\"cx\":" + std::to_string(summary.cx) +
-                           ",\"swaps\":" + std::to_string(summary.swaps) +
-                           ",\"qasm\":\"";
-    fragment += json_escape(qasm);
+    std::string fragment;
+    fragment.reserve(qasm.size() + qasm.size() / 16 + report_json.size() +
+                     256);
+    fragment += "\"tier\":\"";
+    json_escape_into(fragment, summary.tier);
+    fragment += "\",\"selected\":\"";
+    json_escape_into(fragment, summary.selected);
+    fragment += "\",\"depth\":" + std::to_string(summary.depth) +
+                ",\"cx\":" + std::to_string(summary.cx) +
+                ",\"swaps\":" + std::to_string(summary.swaps) +
+                ",\"qasm\":\"";
+    json_escape_into(fragment, qasm);
     fragment += "\",\"report\":";
     fragment += report_json.empty() ? "{}" : report_json;
     return fragment;
@@ -1005,8 +963,8 @@ parse_response(const std::string& payload, Response& out,
         out.plan.cx = v->int_value();
     if (const Json* v = doc->find("swaps"); v && v->is_number())
         out.plan.swaps = v->int_value();
-    if (const Json* v = doc->find("qasm"); v && v->is_string())
-        out.qasm = v->string_value();
+    if (Json* v = doc->find("qasm"); v && v->is_string())
+        out.qasm = v->take_string();
 
     // Recover the raw plan fragment (cache-identity tests compare it
     // byte for byte): everything from the "tier" key to the payload's

@@ -37,8 +37,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 
 namespace permuq::service {
@@ -116,10 +118,13 @@ class Json
     std::int64_t int_value() const { return int_; }
     double double_value() const { return double_; }
     const std::string& string_value() const { return string_; }
+    /** Move the string value out (the large QASM member of a reply). */
+    std::string take_string() { return std::move(string_); }
     const std::vector<Json>& array() const { return array_; }
 
     /** Object member, or nullptr when absent (or not an object). */
     const Json* find(const std::string& key) const;
+    Json* find(const std::string& key);
 
     /** Members in document order (duplicate keys rejected at parse). */
     const std::vector<std::pair<std::string, Json>>&
@@ -148,9 +153,6 @@ class Json
     std::vector<Json> array_;
     std::vector<std::pair<std::string, Json>> members_;
 };
-
-/** Escape @p raw for embedding inside a JSON string literal. */
-std::string json_escape(const std::string& raw);
 
 // ------------------------------------------------------------ framing
 

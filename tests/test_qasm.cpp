@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 
 #include "arch/coupling_graph.h"
@@ -167,6 +168,201 @@ TEST(QasmTest, LoweredUnitaryMatchesAbstractSchedule)
                             phase * want.amplitudes()[i]);
         EXPECT_LT(err, 1e-9) << "trial " << trial;
     }
+}
+
+// ------------------------------------------------------- frozen bytes
+
+/** FNV-1a over the bytes of @p text. */
+std::uint64_t
+text_hash(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+struct QasmGoldenCase
+{
+    const char* name;
+    arch::ArchKind kind;
+    std::int32_t n;
+    core::CompileTier tier;
+    QasmOptions options;
+    /** Compile as a region-sharded fabric (grid only). */
+    bool sharded;
+    std::uint64_t hash;
+};
+
+QasmOptions
+qasm_options(double gamma, bool full_qaoa, double beta, bool merge_pairs)
+{
+    QasmOptions o;
+    o.gamma = gamma;
+    o.full_qaoa = full_qaoa;
+    o.beta = beta;
+    o.merge_pairs = merge_pairs;
+    return o;
+}
+
+const QasmOptions kDefault{};
+
+// Frozen from the ostream-based emitter: the lowering may change how
+// it formats, never what it writes.
+const QasmGoldenCase kQasmGolden[] = {
+    {"grid-fast", arch::ArchKind::Grid, 64, core::CompileTier::Fast,
+     kDefault, false,
+     0x408cf601ff1879adull},
+    {"grid-balanced", arch::ArchKind::Grid, 64,
+     core::CompileTier::Balanced, kDefault, false,
+     0xedd47b318820210cull},
+    {"grid-best", arch::ArchKind::Grid, 64, core::CompileTier::Best,
+     kDefault, false,
+     0xedd47b318820210cull},
+    {"heavyhex-fast", arch::ArchKind::HeavyHex, 64,
+     core::CompileTier::Fast, kDefault, false,
+     0x8541cd0e974f49c2ull},
+    {"heavyhex-balanced", arch::ArchKind::HeavyHex, 64,
+     core::CompileTier::Balanced, kDefault, false,
+     0xd3cb990dd3f1841ull},
+    {"heavyhex-best", arch::ArchKind::HeavyHex, 64,
+     core::CompileTier::Best, kDefault, false,
+     0xd3cb990dd3f1841ull},
+    {"sycamore-fast", arch::ArchKind::Sycamore, 64,
+     core::CompileTier::Fast, kDefault, false,
+     0x1a284a77360f1d5bull},
+    {"sycamore-balanced", arch::ArchKind::Sycamore, 64,
+     core::CompileTier::Balanced, kDefault, false,
+     0x4ab8f4139be7b49ull},
+    {"sycamore-best", arch::ArchKind::Sycamore, 64,
+     core::CompileTier::Best, kDefault, false,
+     0x4ab8f4139be7b49ull},
+    {"heavyhex-unmerged", arch::ArchKind::HeavyHex, 64,
+     core::CompileTier::Balanced, qasm_options(0.5, false, 0.4, false),
+     false,
+     0xb7e58cb0794f1f57ull},
+    {"grid-full-qaoa", arch::ArchKind::Grid, 64, core::CompileTier::Fast,
+     qasm_options(0.5, true, 0.4, true), false,
+     0xa0a6d482d4f259baull},
+    {"angle-0.5", arch::ArchKind::Sycamore, 32, core::CompileTier::Fast,
+     qasm_options(0.5, true, 0.5, true), false,
+     0xc28fcc849376ad9dull},
+    {"angle-0.123456789", arch::ArchKind::Sycamore, 32,
+     core::CompileTier::Fast,
+     qasm_options(0.123456789, true, 0.123456789, true), false,
+     0x7d41f23f622b0c24ull},
+    {"angle-1e-7", arch::ArchKind::Sycamore, 32, core::CompileTier::Fast,
+     qasm_options(1e-7, true, 1e-7, true), false,
+     0xaa6cbf4776a27a3ull},
+    {"angle--0.3", arch::ArchKind::Sycamore, 32, core::CompileTier::Fast,
+     qasm_options(-0.3, true, -0.3, false), false,
+     0x8e56c71cacf0955bull},
+    {"angle-1234.5678", arch::ArchKind::Sycamore, 32,
+     core::CompileTier::Fast,
+     qasm_options(1234.5678, true, 1234.5678, true), false,
+     0x697e568b594c3a52ull},
+    {"grid-sharded", arch::ArchKind::Grid, 64, core::CompileTier::Best,
+     kDefault, true,
+     0x73ad3af8025b0a2ull},
+};
+
+core::CompileResult
+compile_golden(const QasmGoldenCase& c)
+{
+    core::CompilerOptions options;
+    options.tier = c.tier;
+    if (c.sharded) {
+        options.shard_regions = 4;
+        return core::compile(arch::make_grid(8, 8),
+                             problem::fabric_local_graph(8, 8, 0.5, 2, 7),
+                             options);
+    }
+    return core::compile(arch::smallest_arch(c.kind, c.n),
+                         problem::random_graph(c.n, 0.3, 23), options);
+}
+
+TEST(QasmGoldenTest, TextMatchesFrozenHashes)
+{
+    for (const auto& c : kQasmGolden) {
+        const auto compiled = compile_golden(c);
+        const std::string text = to_qasm(compiled.circuit, c.options);
+        EXPECT_EQ(text_hash(text), c.hash)
+            << c.name << ": 0x" << std::hex << text_hash(text);
+    }
+}
+
+TEST(QasmGoldenTest, StreamedChunkWithOffsetMatchesToQasm)
+{
+    // Lowering a fragment with an id offset must write exactly what
+    // to_qasm writes for the same circuit built in shifted ids.
+    const std::int32_t shift = 1000;
+    auto device = arch::make_grid(5, 5);
+    auto problem = problem::random_graph(20, 0.4, 5);
+    core::CompilerOptions options;
+    options.tier = core::CompileTier::Fast;
+    const auto compiled = core::compile(device, problem, options);
+    const Circuit& local = compiled.circuit;
+
+    auto shifted_mapping = [&](const Mapping& m) {
+        std::vector<PhysicalQubit> phys;
+        for (std::int32_t l = 0; l < m.num_logical(); ++l)
+            phys.push_back(m.physical_of(l) + shift);
+        return Mapping(std::move(phys), m.num_physical() + shift);
+    };
+    Circuit shifted(shifted_mapping(local.initial_mapping()));
+    for (const auto& op : local.ops()) {
+        if (op.kind == OpKind::Compute)
+            shifted.add_compute(op.p + shift, op.q + shift);
+        else
+            shifted.add_swap(op.p + shift, op.q + shift);
+    }
+
+    for (const auto& qasm : {kDefault, qasm_options(0.3, true, 0.2, true),
+                             qasm_options(0.7, false, 0.4, false)}) {
+        std::ostringstream streamed;
+        QasmStreamWriter writer(streamed, qasm);
+        writer.begin(shifted.initial_mapping());
+        writer.chunk(local, shift);
+        writer.finish(shifted.final_mapping());
+        EXPECT_EQ(streamed.str(), to_qasm(shifted, qasm));
+    }
+}
+
+TEST(QasmGoldenTest, CallerStreamPrecisionControlsAngles)
+{
+    Circuit c(Mapping(2, 2));
+    c.add_compute(0, 1);
+    const QasmOptions options = qasm_options(0.123456789, true, 0.1, true);
+
+    std::ostringstream precise;
+    precise << std::setprecision(12);
+    QasmStreamWriter writer(precise, options);
+    writer.begin(c.initial_mapping());
+    writer.chunk(c);
+    writer.finish(c.final_mapping());
+    EXPECT_NE(precise.str().find("rz(0.246913578) q[1];"),
+              std::string::npos)
+        << precise.str();
+    EXPECT_NE(precise.str().find("rx(0.2) q[0];"), std::string::npos);
+
+    // A long angle text still fits the writer's line scratch.
+    std::ostringstream wide;
+    wide << std::fixed << std::setprecision(150);
+    QasmStreamWriter wide_writer(wide, qasm_options(0.5, true, 0.1, true));
+    wide_writer.begin(c.initial_mapping());
+    wide_writer.chunk(c);
+    wide_writer.finish(c.final_mapping());
+    std::ostringstream rx_line;
+    rx_line << std::fixed << std::setprecision(150) << "rx(" << 2.0 * 0.1
+            << ") q[0];\n";
+    EXPECT_GT(rx_line.str().size(), 150u);
+    EXPECT_NE(wide.str().find(rx_line.str()), std::string::npos);
+
+    // The default stream precision (6) is what to_qasm writes.
+    EXPECT_NE(to_qasm(c, options).find("rz(0.246914) q[1];"),
+              std::string::npos);
 }
 
 TEST(DiagramTest, ShowsOpsAtTheirCycles)

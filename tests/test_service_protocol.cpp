@@ -17,6 +17,8 @@
 
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "service/client.h"
 #include "service/plan_cache.h"
@@ -263,6 +265,137 @@ TEST(ServiceProtocol, ErrorAndResultPayloadsRoundTrip)
     // what the cache byte-identity assertions compare.
     EXPECT_EQ(response.fragment, fragment);
     EXPECT_EQ(response.report_json, "{\"total\":1}");
+}
+
+// -------------------------------------------------------- string codec
+
+/** Parse @p text, which must be one JSON string literal. */
+std::string
+parse_string_literal(const std::string& text)
+{
+    std::string error;
+    const auto doc = Json::parse(text, &error);
+    EXPECT_TRUE(doc != nullptr) << error;
+    if (doc == nullptr)
+        return {};
+    EXPECT_TRUE(doc->is_string());
+    return doc->string_value();
+}
+
+TEST(ServiceJsonCodec, EscapeParseRoundTripsRandomBytes)
+{
+    // Special bytes land at the start, in the middle and at the end
+    // of long plain runs, so the run scanner's edges are all hit.
+    std::vector<std::string> specials;
+    for (int c = 0; c < 0x20; ++c)
+        specials.emplace_back(1, static_cast<char>(c));
+    specials.emplace_back("\"");
+    specials.emplace_back("\\");
+    specials.emplace_back("\x7f");
+    specials.emplace_back("\xc3\xa9");         // U+00E9
+    specials.emplace_back("\xe2\x82\xac");     // U+20AC
+    specials.emplace_back("\xf0\x9f\x98\x80"); // U+1F600
+    specials.emplace_back("\xff\xfe");         // not UTF-8; bytes pass
+
+    std::mt19937_64 rng(20241019);
+    auto plain_run = [&rng](std::size_t length) {
+        std::string run;
+        for (std::size_t i = 0; i < length; ++i)
+            run.push_back(static_cast<char>(0x20 + rng() % 0x5f));
+        return run;
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+        std::string raw;
+        const int pieces = static_cast<int>(rng() % 6);
+        if (rng() % 2 == 0)
+            raw += specials[rng() % specials.size()];
+        for (int k = 0; k < pieces; ++k) {
+            raw += plain_run(rng() % 300);
+            raw += specials[rng() % specials.size()];
+        }
+        raw += plain_run(rng() % 300);
+        if (rng() % 2 == 0)
+            raw += specials[rng() % specials.size()];
+        // Arbitrary bytes too: every byte value must survive.
+        for (int k = static_cast<int>(rng() % 8); k > 0; --k)
+            raw.insert(rng() % (raw.size() + 1), 1,
+                       static_cast<char>(rng() % 256));
+
+        const std::string escaped = json_escape(raw);
+        for (const char c : escaped)
+            ASSERT_GE(static_cast<unsigned char>(c), 0x20u)
+                << "raw control byte left in escaped text";
+        EXPECT_EQ(parse_string_literal("\"" + escaped + "\""), raw)
+            << "trial " << trial;
+    }
+}
+
+TEST(ServiceJsonCodec, EscapeUsesShortFormsAndLowercaseHex)
+{
+    EXPECT_EQ(json_escape("a\"b\\c\nd\re\tf\x01g\x1f"),
+              "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001f");
+    EXPECT_EQ(json_escape(std::string("\0\b\f", 3)),
+              "\\u0000\\u0008\\u000c");
+    EXPECT_EQ(json_escape("plain / text \xc3\xa9"), "plain / text \xc3\xa9");
+}
+
+TEST(ServiceJsonCodec, ParserDecodesEveryEscapeForm)
+{
+    const std::string run(500, 'x');
+    EXPECT_EQ(parse_string_literal("\"\\ud83d\\ude00" + run + "\""),
+              "\xf0\x9f\x98\x80" + run);
+    EXPECT_EQ(parse_string_literal("\"" + run + "\\ud83d\\ude00" + run +
+                                   "\""),
+              run + "\xf0\x9f\x98\x80" + run);
+    EXPECT_EQ(parse_string_literal("\"" + run + "\\ud83d\\ude00\""),
+              run + "\xf0\x9f\x98\x80");
+    EXPECT_EQ(parse_string_literal(
+                  "\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0041\\u00e9\\u20AC\""),
+              "\"\\/\b\f\n\r\tA\xc3\xa9\xe2\x82\xac");
+    EXPECT_EQ(parse_string_literal("\"\""), "");
+    EXPECT_EQ(parse_string_literal("\"\\u0000\""), std::string(1, '\0'));
+}
+
+TEST(ServiceJsonCodec, RejectionsKeepTheirMessagesAndOffsets)
+{
+    const std::string run(1000, 'a');
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"abc", "unterminated string at byte 4"},
+        {"\"" + run, "unterminated string at byte 1001"},
+        {std::string("\"a\x01z\"", 5),
+         "unescaped control character in string at byte 2"},
+        {std::string("\"") + run + "\x1f\"",
+         "unescaped control character in string at byte 1001"},
+        {std::string("\"\x00\"", 3),
+         "unescaped control character in string at byte 1"},
+        {"\"ab\\", "dangling escape at byte 4"},
+        {"\"" + run + "\\", "dangling escape at byte 1002"},
+        {"\"a\\x\"", "bad escape at byte 4"},
+        {"\"a\\U0041\"", "bad escape at byte 4"},
+        {"\"\\u12\"", "truncated \\u escape at byte 3"},
+        {"\"\\u12g4\"", "bad \\u escape at byte 6"},
+        {"\"\\ud83d\"", "lone high surrogate at byte 7"},
+        {"\"\\ud83dx\"", "lone high surrogate at byte 7"},
+        {"\"\\ud83d\\n\"", "lone high surrogate at byte 7"},
+        {"\"\\ud83d\\u0041\"", "bad low surrogate at byte 13"},
+        {"\"\\ud83d\\u12\"", "truncated \\u escape at byte 9"},
+        {"\"\\ude00\"", "lone low surrogate at byte 7"},
+        {"{\"k\x02\":1}", "unescaped control character in string at byte 3"},
+        {"{\"k\":\"v\\q\"}", "bad escape at byte 9"},
+        {"[\"ok\",\"" + run + "\\uZZZZ\"]", "bad \\u escape at byte 1010"},
+        {"\"done\" x", "trailing bytes after the JSON document at byte 7"},
+        {"{\"a\":1,}", "expected object key at byte 7"},
+        {"[1,2", "expected ',' or ']' in array at byte 4"},
+        {"-", "bad number at byte 1"},
+        {"1.e5", "bad fraction at byte 2"},
+        {"tru", "bad keyword at byte 0"},
+        {"{\"a\":1,\"a\":2}", "duplicate object key \"a\" at byte 10"},
+    };
+    for (const auto& [text, want] : cases) {
+        std::string error;
+        EXPECT_EQ(Json::parse(text, &error), nullptr) << text;
+        EXPECT_EQ(error, want) << text;
+    }
 }
 
 // --------------------------------------------------- live-server abuse
