@@ -1,6 +1,7 @@
 #include "shard.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -92,9 +93,35 @@ band_problem(const graph::Graph& problem, const ShardRegion& region)
     return sub;
 }
 
+/** Band sub-devices keyed by band size: one device's equal-size bands
+ *  are the same sub-device. */
+using BandDevices = std::map<std::int32_t, arch::CouplingGraph>;
+
+/** Build each distinct sub-device the non-empty bands compile on,
+ *  once, and record the region-size histogram. Each distance table is
+ *  forced here, before any band compiles: it is a lazy cache, and
+ *  bands sharing one device across pool threads would race on its
+ *  first build. */
+BandDevices
+band_devices(const arch::CouplingGraph& device, const ShardPlan& plan,
+             std::int32_t num_vertices)
+{
+    auto& histogram = telemetry::histogram("compile.shard.region_qubits");
+    BandDevices devices;
+    for (const auto& region : plan.regions) {
+        histogram.record(static_cast<double>(region.num_qubits));
+        if (band_logicals(region, num_vertices) > 0 &&
+            devices.count(region.num_qubits) == 0)
+            devices.emplace(region.num_qubits,
+                            make_band_device(device, region))
+                .first->second.distances();
+    }
+    return devices;
+}
+
 /** Compile one band; empty bands produce an empty result. */
 CompileResult
-compile_band(const arch::CouplingGraph& device, const ShardRegion& region,
+compile_band(const BandDevices& devices, const ShardRegion& region,
              const graph::Graph& problem, const CompilerOptions& options,
              std::size_t index, CompileTier resolved)
 {
@@ -106,48 +133,55 @@ compile_band(const arch::CouplingGraph& device, const ShardRegion& region,
     const graph::Graph sub_problem = band_problem(problem, region);
     if (sub_problem.num_vertices() == 0)
         return {};
-    const arch::CouplingGraph sub_device = make_band_device(device, region);
-    return compile(sub_device, sub_problem,
+    return compile(devices.at(region.num_qubits), sub_problem,
                    region_options(options, index, resolved));
 }
 
-/** Per-band explain rows from the compiled band results. */
-std::vector<CompileReport::Band>
-band_rows(const std::vector<CompileResult>& bands, const ShardPlan& plan)
+/** Append the next band's explain row to @p rep and add its search
+ *  and cache counters to the sharded totals. */
+void
+accumulate_band(CompileReport& rep, const CompileResult& band,
+                const ShardRegion& region)
 {
-    std::vector<CompileReport::Band> rows;
-    rows.reserve(bands.size());
-    for (std::size_t r = 0; r < bands.size(); ++r) {
-        CompileReport::Band row;
-        row.index = static_cast<std::int32_t>(r);
-        row.qubits = plan.regions[r].num_qubits;
-        row.edges = bands[r].report.problem_edges;
-        row.depth = static_cast<std::int64_t>(bands[r].metrics.depth);
-        row.swaps = bands[r].metrics.swap_gates;
-        row.cx = bands[r].metrics.cx_count;
-        row.seconds = bands[r].compile_seconds;
-        row.selected = bands[r].selected;
-        row.tier = bands[r].tier;
-        rows.push_back(std::move(row));
-    }
-    return rows;
+    CompileReport::Band row;
+    row.index = static_cast<std::int32_t>(rep.bands.size());
+    row.qubits = region.num_qubits;
+    row.edges = band.report.problem_edges;
+    row.depth = static_cast<std::int64_t>(band.metrics.depth);
+    row.swaps = band.metrics.swap_gates;
+    row.cx = band.metrics.cx_count;
+    row.seconds = band.compile_seconds;
+    row.selected = band.selected;
+    row.tier = band.tier;
+    rep.bands.push_back(std::move(row));
+    rep.trials += band.report.trials;
+    rep.snapshots += band.report.snapshots;
+    rep.candidates += band.report.candidates;
+    rep.placement_seconds += band.report.placement_seconds;
+    rep.greedy_seconds += band.report.greedy_seconds;
+    rep.materialize_seconds += band.report.materialize_seconds;
+    rep.schedule_cache_hits += band.report.schedule_cache_hits;
+    rep.schedule_cache_misses += band.report.schedule_cache_misses;
+    rep.pull_cache_hits += band.report.pull_cache_hits;
+    rep.pull_cache_misses += band.report.pull_cache_misses;
 }
 
-/** Global initial mapping composed from the band-local placements. */
+/** Global mapping composed from band-local ones; @p band_map(r) is
+ *  region r's mapping (initial placement, or final after routing). */
+template <typename BandMap>
 circuit::Mapping
-composed_initial(const std::vector<CompileResult>& bands,
-                 const ShardPlan& plan, std::int32_t num_vertices,
-                 std::int32_t num_qubits)
+composed_mapping(const ShardPlan& plan, std::int32_t num_vertices,
+                 std::int32_t num_qubits, BandMap band_map)
 {
     std::vector<PhysicalQubit> phys_of(
         static_cast<std::size_t>(num_vertices), kInvalidQubit);
     for (std::size_t r = 0; r < plan.regions.size(); ++r) {
         const ShardRegion& region = plan.regions[r];
         const std::int32_t local = band_logicals(region, num_vertices);
-        const auto& initial = bands[r].circuit.initial_mapping();
+        const circuit::Mapping& mapping = band_map(r);
         for (std::int32_t l = 0; l < local; ++l)
             phys_of[static_cast<std::size_t>(region.first_qubit + l)] =
-                region.first_qubit + initial.physical_of(l);
+                region.first_qubit + mapping.physical_of(l);
     }
     return circuit::Mapping(std::move(phys_of), num_qubits);
 }
@@ -195,7 +229,9 @@ cross_band_edges(const graph::Graph& problem, const ShardPlan& plan)
  * table) from the stationary endpoint, then walk the mobile endpoint
  * down the distance gradient — first strictly-improving neighbor in
  * ascending id order, mirroring graph::walk_toward — until the pair
- * sits on a coupler.
+ * sits on a coupler. The BFS stops once the mobile endpoint settles:
+ * the walk only reads vertices closer than it, which are then exact,
+ * and unreached vertices read kUnreachable, never an improving step.
  */
 void
 stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
@@ -208,7 +244,7 @@ stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
     for (const auto& edge : cross) {
         PhysicalQubit pa = out.final_mapping().physical_of(edge.a);
         const PhysicalQubit pb = out.final_mapping().physical_of(edge.b);
-        const auto& dist = oracle.distances_from(pb);
+        const auto& dist = oracle.distances_from(pb, /*target=*/pa);
         fatal_unless(dist[static_cast<std::size_t>(pa)] != kUnreachable,
                      "stitched endpoints are disconnected on the device");
         while (dist[static_cast<std::size_t>(pa)] > 1) {
@@ -233,33 +269,23 @@ stitch_edges(circuit::Circuit& out, const arch::CouplingGraph& device,
         .add(static_cast<std::int64_t>(cross.size()));
 }
 
-/** Plan + per-band compiles, shared by both entry points.
- *  @p sequential forces one-band-at-a-time compilation (streaming
- *  keeps only one region circuit alive; results are identical). */
+/** All bands compiled concurrently on the shared pool. */
 std::vector<CompileResult>
 compile_bands(const arch::CouplingGraph& device,
               const graph::Graph& problem,
               const CompilerOptions& options, const ShardPlan& plan,
-              bool sequential, CompileTier resolved)
+              CompileTier resolved)
 {
-    auto& histogram = telemetry::histogram("compile.shard.region_qubits");
-    for (const auto& region : plan.regions)
-        histogram.record(static_cast<double>(region.num_qubits));
-
+    const BandDevices devices =
+        band_devices(device, plan, problem.num_vertices());
     std::vector<CompileResult> bands(plan.regions.size());
-    auto one = [&](std::int64_t r) {
-        bands[static_cast<std::size_t>(r)] =
-            compile_band(device, plan.regions[static_cast<std::size_t>(r)],
-                         problem, options, static_cast<std::size_t>(r),
-                         resolved);
-    };
-    if (sequential) {
-        for (std::size_t r = 0; r < plan.regions.size(); ++r)
-            one(static_cast<std::int64_t>(r));
-    } else {
-        common::parallel_tasks(
-            static_cast<std::int64_t>(plan.regions.size()), one);
-    }
+    common::parallel_tasks(
+        static_cast<std::int64_t>(plan.regions.size()),
+        [&](std::int64_t r) {
+            const auto i = static_cast<std::size_t>(r);
+            bands[i] = compile_band(devices, plan.regions[i], problem,
+                                    options, i, resolved);
+        });
     return bands;
 }
 
@@ -349,11 +375,14 @@ shard_compile(const arch::CouplingGraph& device,
     span.arg("qubits", problem.num_vertices());
     span.arg("tier", tier_name(tier));
 
-    const auto bands = compile_bands(device, problem, options, plan,
-                                     /*sequential=*/false, tier);
+    const auto bands =
+        compile_bands(device, problem, options, plan, tier);
 
-    circuit::Circuit assembled(composed_initial(
-        bands, plan, problem.num_vertices(), device.num_qubits()));
+    circuit::Circuit assembled(composed_mapping(
+        plan, problem.num_vertices(), device.num_qubits(),
+        [&](std::size_t r) -> const circuit::Mapping& {
+            return bands[r].circuit.initial_mapping();
+        }));
     for (std::size_t r = 0; r < plan.regions.size(); ++r)
         append_band(assembled, bands[r].circuit,
                     plan.regions[r].first_qubit);
@@ -386,19 +415,8 @@ shard_compile(const arch::CouplingGraph& device,
     rep.problem_edges = problem.num_edges();
     rep.device_qubits = device.num_qubits();
     rep.shard_regions = static_cast<std::int32_t>(plan.regions.size());
-    rep.bands = band_rows(bands, plan);
-    for (const auto& band : bands) {
-        rep.trials += band.report.trials;
-        rep.snapshots += band.report.snapshots;
-        rep.candidates += band.report.candidates;
-        rep.placement_seconds += band.report.placement_seconds;
-        rep.greedy_seconds += band.report.greedy_seconds;
-        rep.materialize_seconds += band.report.materialize_seconds;
-        rep.schedule_cache_hits += band.report.schedule_cache_hits;
-        rep.schedule_cache_misses += band.report.schedule_cache_misses;
-        rep.pull_cache_hits += band.report.pull_cache_hits;
-        rep.pull_cache_misses += band.report.pull_cache_misses;
-    }
+    for (std::size_t r = 0; r < bands.size(); ++r)
+        accumulate_band(rep, bands[r], plan.regions[r]);
     rep.depth = static_cast<std::int64_t>(result.metrics.depth);
     rep.cx_count = result.metrics.cx_count;
     rep.swap_count = result.metrics.swap_gates;
@@ -451,10 +469,8 @@ shard_compile_stream(const arch::CouplingGraph& device,
     ShardStreamResult out;
     out.regions = static_cast<std::int32_t>(plan.regions.size());
 
-    auto& histogram = telemetry::histogram("compile.shard.region_qubits");
-    for (const auto& region : plan.regions)
-        histogram.record(static_cast<double>(region.num_qubits));
-
+    const BandDevices devices =
+        band_devices(device, plan, problem.num_vertices());
     std::vector<circuit::Mapping> finals(plan.regions.size());
     std::vector<circuit::Metrics> band_metrics(plan.regions.size());
     Cycle band_depth = 0;
@@ -464,7 +480,7 @@ shard_compile_stream(const arch::CouplingGraph& device,
 
     for (std::size_t r = 0; r < plan.regions.size(); ++r) {
         const ShardRegion& region = plan.regions[r];
-        CompileResult band = compile_band(device, region, problem,
+        CompileResult band = compile_band(devices, region, problem,
                                           options, r, tier);
         finals[r] = band.circuit.final_mapping();
         band_metrics[r] = band.metrics;
@@ -474,48 +490,17 @@ shard_compile_stream(const arch::CouplingGraph& device,
         out.peak_circuit_bytes = std::max(out.peak_circuit_bytes,
                                           band.circuit.memory_bytes());
         writer.chunk(band.circuit, region.first_qubit);
-        CompileReport::Band row;
-        row.index = static_cast<std::int32_t>(r);
-        row.qubits = region.num_qubits;
-        row.edges = band.report.problem_edges;
-        row.depth = static_cast<std::int64_t>(band.metrics.depth);
-        row.swaps = band.metrics.swap_gates;
-        row.cx = band.metrics.cx_count;
-        row.seconds = band.compile_seconds;
-        row.selected = band.selected;
-        row.tier = band.tier;
-        out.report.bands.push_back(std::move(row));
-        out.report.trials += band.report.trials;
-        out.report.snapshots += band.report.snapshots;
-        out.report.candidates += band.report.candidates;
-        out.report.placement_seconds +=
-            band.report.placement_seconds;
-        out.report.greedy_seconds += band.report.greedy_seconds;
-        out.report.materialize_seconds +=
-            band.report.materialize_seconds;
-        out.report.schedule_cache_hits +=
-            band.report.schedule_cache_hits;
-        out.report.schedule_cache_misses +=
-            band.report.schedule_cache_misses;
-        out.report.pull_cache_hits += band.report.pull_cache_hits;
-        out.report.pull_cache_misses += band.report.pull_cache_misses;
+        accumulate_band(out.report, band, region);
         // band goes out of scope here: its arena is freed before the
         // next region compiles.
     }
 
     // Stitch tail over the composed final mapping.
-    std::vector<PhysicalQubit> phys_of(
-        static_cast<std::size_t>(problem.num_vertices()), kInvalidQubit);
-    for (std::size_t r = 0; r < plan.regions.size(); ++r) {
-        const ShardRegion& region = plan.regions[r];
-        const std::int32_t local =
-            band_logicals(region, problem.num_vertices());
-        for (std::int32_t l = 0; l < local; ++l)
-            phys_of[static_cast<std::size_t>(region.first_qubit + l)] =
-                region.first_qubit + finals[r].physical_of(l);
-    }
-    circuit::Circuit stitch(circuit::Mapping(std::move(phys_of),
-                                             device.num_qubits()));
+    circuit::Circuit stitch(composed_mapping(
+        plan, problem.num_vertices(), device.num_qubits(),
+        [&](std::size_t r) -> const circuit::Mapping& {
+            return finals[r];
+        }));
     const auto cross = cross_band_edges(problem, plan);
     out.stitched_edges = static_cast<std::int64_t>(cross.size());
     Timer stitch_timer;

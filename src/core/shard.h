@@ -15,7 +15,8 @@
  *  3. compile each band's induced subproblem independently on the
  *     band's exact sub-device — full PermuQ pipeline per region
  *     (greedy + ATA prediction + multi-start), concurrently on the
- *     shared thread pool;
+ *     shared thread pool; equal-size bands are the same sub-device,
+ *     built once with its distance table before the fan-out;
  *  4. stitch: translate region circuits into the global id space
  *     (a single offset add per op), then route every cross-band
  *     problem edge with the inter-region router, which walks the
@@ -25,8 +26,9 @@
  * Determinism: regions are assembled in band order and the stitch
  * order is a sorted edge list, so a fixed seed and fixed region count
  * give bit-identical output at any thread count. Memory: the dense
- * DistanceMatrix is only ever built per band (k tables of (n/k)^2
- * instead of one n^2 table), and the streaming entry point emits QASM
+ * DistanceMatrix is only ever built per distinct band shape (one
+ * (n/k)^2 table for k even bands instead of one n^2 table), and the
+ * streaming entry point emits QASM
  * as regions complete without materializing the global circuit.
  */
 #ifndef PERMUQ_CORE_SHARD_H

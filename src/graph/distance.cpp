@@ -1,12 +1,60 @@
 #include "distance.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 
 #include "common/error.h"
 
 namespace permuq::graph {
+
+namespace {
+
+/** Out of line so the BFS loop never builds the message. */
+[[noreturn]] void
+overflow_panic(std::int32_t source, std::int32_t v)
+{
+    throw PanicError("distance between vertices (" + std::to_string(source) +
+                     "," + std::to_string(v) +
+                     ") exceeds 16-bit storage");
+}
+
+/**
+ * The one BFS behind every distance query: settles vertices outward
+ * from @p source, writing each distance into @p dist, which must read
+ * @p unseen at every vertex on entry. On return @p queue holds exactly
+ * the vertices written, in settle order. Stops once @p target (>= 0)
+ * is settled; every vertex no farther than @p target then holds its
+ * exact distance, and every entry written is exact. A 16-bit row
+ * panics on a finite distance >= @p unseen.
+ */
+template <typename Entry>
+void
+bfs_into(const FlatAdjacency& adj, std::int32_t source, std::int32_t target,
+         Entry* dist, Entry unseen, std::vector<std::int32_t>& queue)
+{
+    queue.clear();
+    dist[source] = 0;
+    queue.push_back(source);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const std::int32_t v = queue[head];
+        if (v == target)
+            return;
+        const std::int32_t next = static_cast<std::int32_t>(dist[v]) + 1;
+        for (const std::int32_t* w = adj.neighbors_begin(v);
+             w != adj.neighbors_end(v); ++w) {
+            if (dist[*w] != unseen)
+                continue;
+            if constexpr (sizeof(Entry) < sizeof(std::int32_t)) {
+                if (next >= unseen)
+                    overflow_panic(source, *w);
+            }
+            dist[*w] = static_cast<Entry>(next);
+            queue.push_back(*w);
+        }
+    }
+}
+
+} // namespace
 
 std::vector<std::int32_t>
 bfs_distances(const Graph& g, std::int32_t source)
@@ -15,20 +63,10 @@ bfs_distances(const Graph& g, std::int32_t source)
                  "BFS source out of range");
     std::vector<std::int32_t> dist(
         static_cast<std::size_t>(g.num_vertices()), kUnreachable);
-    std::deque<std::int32_t> queue;
-    dist[static_cast<std::size_t>(source)] = 0;
-    queue.push_back(source);
-    while (!queue.empty()) {
-        std::int32_t v = queue.front();
-        queue.pop_front();
-        std::int32_t next = dist[static_cast<std::size_t>(v)] + 1;
-        for (std::int32_t w : g.neighbors(v)) {
-            if (dist[static_cast<std::size_t>(w)] == kUnreachable) {
-                dist[static_cast<std::size_t>(w)] = next;
-                queue.push_back(w);
-            }
-        }
-    }
+    std::vector<std::int32_t> queue;
+    queue.reserve(dist.size());
+    bfs_into(FlatAdjacency(g), source, /*target=*/-1, dist.data(),
+             kUnreachable, queue);
     return dist;
 }
 
@@ -36,22 +74,13 @@ DistanceMatrix::DistanceMatrix(const Graph& g)
     : n_(static_cast<std::size_t>(g.num_vertices()))
 {
     table_.assign(n_ * n_, kRawUnreachable);
-    for (std::int32_t s = 0; s < g.num_vertices(); ++s) {
-        auto dist = bfs_distances(g, s);
-        for (std::int32_t v = 0; v < g.num_vertices(); ++v) {
-            std::int32_t d = dist[static_cast<std::size_t>(v)];
-            if (d != kUnreachable) {
-                panic_unless(d < kRawUnreachable,
-                             "distance between vertices (" +
-                                 std::to_string(s) + "," +
-                                 std::to_string(v) +
-                                 ") exceeds 16-bit storage");
-                table_[static_cast<std::size_t>(s) * n_ +
-                       static_cast<std::size_t>(v)] =
-                    static_cast<std::uint16_t>(d);
-            }
-        }
-    }
+    const FlatAdjacency adj(g);
+    std::vector<std::int32_t> queue;
+    queue.reserve(n_);
+    for (std::int32_t s = 0; s < g.num_vertices(); ++s)
+        bfs_into(adj, s, /*target=*/-1,
+                 table_.data() + static_cast<std::size_t>(s) * n_,
+                 kRawUnreachable, queue);
 }
 
 std::int32_t
@@ -84,43 +113,23 @@ BfsOracle::BfsOracle(const FlatAdjacency& adj)
     queue_.reserve(dist_.size());
 }
 
-void
-BfsOracle::run(std::int32_t source, std::int32_t target)
-{
-    fatal_unless(source >= 0 && source < adj_->num_vertices(),
-                 "BFS source out of range");
-    std::fill(dist_.begin(), dist_.end(), kUnreachable);
-    queue_.clear();
-    dist_[static_cast<std::size_t>(source)] = 0;
-    queue_.push_back(source);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-        std::int32_t v = queue_[head];
-        if (v == target)
-            return;
-        std::int32_t next = dist_[static_cast<std::size_t>(v)] + 1;
-        for (const std::int32_t* w = adj_->neighbors_begin(v);
-             w != adj_->neighbors_end(v); ++w) {
-            if (dist_[static_cast<std::size_t>(*w)] == kUnreachable) {
-                dist_[static_cast<std::size_t>(*w)] = next;
-                queue_.push_back(*w);
-            }
-        }
-    }
-}
-
 std::int32_t
 BfsOracle::distance(std::int32_t source, std::int32_t target)
 {
     fatal_unless(target >= 0 && target < adj_->num_vertices(),
                  "BFS target out of range");
-    run(source, target);
-    return dist_[static_cast<std::size_t>(target)];
+    return distances_from(source, target)[static_cast<std::size_t>(target)];
 }
 
 const std::vector<std::int32_t>&
-BfsOracle::distances_from(std::int32_t source)
+BfsOracle::distances_from(std::int32_t source, std::int32_t target)
 {
-    run(source, /*target=*/-1);
+    fatal_unless(source >= 0 && source < adj_->num_vertices(),
+                 "BFS source out of range");
+    // The previous query wrote exactly the vertices left in queue_.
+    for (std::int32_t v : queue_)
+        dist_[static_cast<std::size_t>(v)] = kUnreachable;
+    bfs_into(*adj_, source, target, dist_.data(), kUnreachable, queue_);
     return dist_;
 }
 

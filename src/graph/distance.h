@@ -20,8 +20,9 @@ namespace permuq::graph {
 std::vector<std::int32_t> bfs_distances(const Graph& g, std::int32_t source);
 
 /**
- * Dense all-pairs distance table computed by n BFS passes.
- * Entries saturate at 65534; 65535 encodes "unreachable".
+ * Dense all-pairs distance table computed by n BFS passes over one
+ * FlatAdjacency, each writing its 16-bit row in place. 65535 encodes
+ * "unreachable"; a finite distance that does not fit below it panics.
  */
 class DistanceMatrix
 {
@@ -135,9 +136,10 @@ class FlatAdjacency
 
 /**
  * On-demand single-source BFS distances over a FlatAdjacency, with an
- * early exit once a target is settled. Memory is O(n) scratch reused
- * across queries (never a dense n^2 table), so it scales to 100k-qubit
- * fabrics. Not thread-safe: each thread owns its own oracle.
+ * optional early exit once a target is settled. Memory is O(n) scratch
+ * reused across queries (never a dense n^2 table), so it scales to
+ * 100k-qubit fabrics; a query resets only the entries the previous
+ * one wrote. Not thread-safe: each thread owns its own oracle.
  */
 class BfsOracle
 {
@@ -152,18 +154,20 @@ class BfsOracle
     std::int32_t distance(std::int32_t source, std::int32_t target);
 
     /**
-     * Full distance row from @p source (entry per vertex,
-     * kUnreachable for disconnected ones). The returned reference is
-     * the internal scratch row — valid until the next query.
+     * Distance row from @p source (entry per vertex, kUnreachable for
+     * disconnected ones). With @p target >= 0 the BFS stops once
+     * @p target is settled: every vertex no farther than @p target
+     * holds its exact distance, farther ones may read kUnreachable.
+     * The returned reference is the internal scratch row — valid
+     * until the next query.
      */
-    const std::vector<std::int32_t>& distances_from(std::int32_t source);
+    const std::vector<std::int32_t>& distances_from(std::int32_t source,
+                                                    std::int32_t target = -1);
 
   private:
-    /** BFS from @p source; stops early when @p target (>= 0) settles. */
-    void run(std::int32_t source, std::int32_t target);
-
     const FlatAdjacency* adj_;
-    /** Scratch distance row; stamp_ marks entries valid this query. */
+    /** Scratch distance row; kUnreachable except where the last query
+     *  wrote, which is exactly the vertices in queue_. */
     std::vector<std::int32_t> dist_;
     std::vector<std::int32_t> queue_;
 };

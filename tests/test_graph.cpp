@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <queue>
+
+#include "arch/coupling_graph.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/coloring.h"
@@ -102,6 +105,58 @@ TEST(DistanceTest, MatrixMatchesBfs)
         auto d = bfs_distances(g, s);
         for (std::int32_t v = 0; v < 20; ++v)
             EXPECT_EQ(m.at(s, v), d[static_cast<std::size_t>(v)]);
+    }
+}
+
+/** Textbook BFS, independent of the library's shared routine. */
+std::vector<std::int32_t>
+reference_bfs(const Graph& g, std::int32_t source)
+{
+    std::vector<std::int32_t> dist(
+        static_cast<std::size_t>(g.num_vertices()), kUnreachable);
+    std::queue<std::int32_t> queue;
+    dist[static_cast<std::size_t>(source)] = 0;
+    queue.push(source);
+    while (!queue.empty()) {
+        const std::int32_t v = queue.front();
+        queue.pop();
+        for (std::int32_t w : g.neighbors(v)) {
+            if (dist[static_cast<std::size_t>(w)] == kUnreachable) {
+                dist[static_cast<std::size_t>(w)] =
+                    dist[static_cast<std::size_t>(v)] + 1;
+                queue.push(w);
+            }
+        }
+    }
+    return dist;
+}
+
+TEST(DistanceTest, MatrixMatchesReferenceOnEveryTopology)
+{
+    std::vector<arch::CouplingGraph> devices;
+    devices.push_back(arch::smallest_arch(arch::ArchKind::HeavyHex, 512));
+    devices.push_back(arch::smallest_arch(arch::ArchKind::Sycamore, 512));
+    devices.push_back(arch::make_grid(8, 64));
+    devices.push_back(arch::make_line(97));
+    devices.push_back(arch::make_hexagon(8, 9));
+    devices.push_back(arch::make_lattice3d(4, 5, 6));
+    devices.push_back(arch::make_mumbai());
+    // Two components plus an isolated vertex.
+    devices.push_back(arch::make_custom(
+        9, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 6}, {6, 7}}));
+    EXPECT_EQ(devices[0].num_qubits(), 519);
+    EXPECT_EQ(devices[1].num_qubits(), 529);
+    for (const auto& device : devices) {
+        const Graph& g = device.connectivity();
+        const DistanceMatrix m(g);
+        std::int64_t mismatches = 0;
+        for (std::int32_t s = 0; s < g.num_vertices(); ++s) {
+            const auto ref = reference_bfs(g, s);
+            EXPECT_EQ(bfs_distances(g, s), ref) << device.name();
+            for (std::int32_t v = 0; v < g.num_vertices(); ++v)
+                mismatches += m.at(s, v) != ref[static_cast<std::size_t>(v)];
+        }
+        EXPECT_EQ(mismatches, 0) << device.name();
     }
 }
 

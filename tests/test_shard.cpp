@@ -400,6 +400,53 @@ TEST(ShardStream, ByteIdenticalToMaterializedLowering)
                   circuit::OpArena::kChunkOps * sizeof(circuit::ScheduledOp));
 }
 
+/** The 4096-qubit fabric compile the benchmark times: a 64x64 grid
+ *  cut into 8 identical bands at the balanced tier. */
+struct FabricCase
+{
+    arch::CouplingGraph device = arch::make_grid(64, 64);
+    graph::Graph problem =
+        problem::fabric_local_graph(64, 64, 0.3, 1, 9901);
+    core::CompilerOptions options = [] {
+        core::CompilerOptions o;
+        o.tier = core::CompileTier::Balanced;
+        o.shard_regions = 8;
+        return o;
+    }();
+};
+
+TEST(ShardGolden, FabricCompileIsPinned)
+{
+    // Recorded before the band device was shared across bands and the
+    // stitch BFS learned to stop early; both must leave output as is.
+    const FabricCase fabric;
+    auto result =
+        core::compile(fabric.device, fabric.problem, fabric.options);
+    EXPECT_EQ(result.selected, "sharded");
+    EXPECT_EQ(circuit_hash(result.circuit), 0x347d0a5fe4e2a466ULL)
+        << std::hex << circuit_hash(result.circuit);
+    EXPECT_EQ(result.metrics.depth, 1728);
+    EXPECT_EQ(result.metrics.cx_count, 116115);
+}
+
+TEST(ShardGolden, FabricStreamIsByteIdentical)
+{
+    const FabricCase fabric;
+    circuit::QasmOptions qasm;
+    qasm.merge_pairs = false;
+    std::ostringstream streamed;
+    circuit::QasmStreamWriter writer(streamed, qasm);
+    auto stream_result = core::shard_compile_stream(
+        fabric.device, fabric.problem, fabric.options, writer);
+    auto materialized =
+        core::compile(fabric.device, fabric.problem, fabric.options);
+    EXPECT_EQ(streamed.str(), circuit::to_qasm(materialized.circuit, qasm));
+    EXPECT_EQ(stream_result.metrics.depth, materialized.metrics.depth);
+    EXPECT_EQ(stream_result.metrics.cx_count,
+              circuit::compute_metrics(materialized.circuit, nullptr)
+                  .cx_count);
+}
+
 TEST(ShardStream, MergedLoweringIsChunkCanonical)
 {
     auto device = arch::make_grid(6, 4);
@@ -449,6 +496,44 @@ TEST(BfsOracle, MatchesDenseDistanceMatrix)
     EXPECT_EQ(oracle.distance(0, g.num_vertices() - 1),
               dense.at(0, g.num_vertices() - 1));
     EXPECT_EQ(oracle.distance(3, 3), 0);
+}
+
+TEST(BfsOracle, EarlyExitRowAgreesUpToTheTarget)
+{
+    // The stitcher's gradient walk reads an early-exit row: every
+    // vertex no farther than the target must be exact, and anything
+    // else either exact or unreached (never a false improving step).
+    std::vector<arch::CouplingGraph> devices;
+    devices.push_back(arch::make_grid(8, 64));
+    devices.push_back(arch::make_sycamore(10, 12));
+    for (const auto& device : devices) {
+        const auto& g = device.connectivity();
+        graph::DistanceMatrix dense(g);
+        graph::FlatAdjacency adjacency(g);
+        graph::BfsOracle oracle(adjacency);
+        const std::int32_t n = g.num_vertices();
+        std::int64_t checked = 0;
+        for (std::int32_t s = 0; s < n; s += 7) {
+            for (std::int32_t t = (s * 13) % n; t < n; t += 37) {
+                const std::int32_t target_distance = dense.at(s, t);
+                const auto& row = oracle.distances_from(s, t);
+                for (std::int32_t v = 0; v < n; ++v) {
+                    const std::int32_t got =
+                        row[static_cast<std::size_t>(v)];
+                    const std::int32_t want = dense.at(s, v);
+                    if (want <= target_distance || got != kUnreachable) {
+                        ASSERT_EQ(got, want) << s << "->" << v;
+                    }
+                    ++checked;
+                }
+            }
+            // A full row after early-exit queries is fully reset.
+            const auto& full = oracle.distances_from(s);
+            for (std::int32_t v = 0; v < n; ++v)
+                ASSERT_EQ(full[static_cast<std::size_t>(v)], dense.at(s, v));
+        }
+        EXPECT_GT(checked, 0);
+    }
 }
 
 TEST(BfsOracle, DisconnectedVerticesAreUnreachable)

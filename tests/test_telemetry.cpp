@@ -272,7 +272,12 @@ TEST_F(TelemetryTest, PrometheusTextFormatAndLabels)
     EXPECT_NE(text.find("permuq_test_prom_hist_sum"),
               std::string::npos);
     // Cumulative buckets: the +Inf bucket equals the sample count.
-    const auto inf_pos = text.find("le=\"+Inf\"");
+    // Anchor on this histogram's own bucket rows: histograms registered
+    // by earlier tests in the same process also export +Inf buckets.
+    const auto bucket_pos = text.find("permuq_test_prom_hist_bucket{");
+    ASSERT_NE(bucket_pos, std::string::npos);
+    const auto inf_pos = text.find("le=\"+Inf\"", bucket_pos);
+    ASSERT_NE(inf_pos, std::string::npos);
     const auto value_pos = text.find("} ", inf_pos);
     ASSERT_NE(value_pos, std::string::npos);
     EXPECT_EQ(std::atoll(text.c_str() + value_pos + 2), 3);
